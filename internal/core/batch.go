@@ -23,11 +23,6 @@ type ClassChain struct {
 	// operators alias; Refill regenerates their entries in place. Nil for
 	// batched chains, which always rebuild.
 	blocks []classBlocks
-
-	// adoptMaxDensity is the CSR adoption threshold the chain was built
-	// with (SolveOptions.SparseMaxDensity); Refill re-adopts with the same
-	// threshold so a refilled chain is bit-for-bit a rebuilt one.
-	adoptMaxDensity float64
 }
 
 // Refill regenerates the chain's generator entries in place for a model
@@ -59,7 +54,7 @@ func (ch *ClassChain) Refill(m *Model, p int, intervisit *phase.Dist) (bool, err
 		}
 	}
 	fillClassBlocks(ch.space, ch.blocks)
-	if err := certifyClassProcess(ch.Proc, ch.adoptMaxDensity); err != nil {
+	if err := certifyClassProcess(ch.Proc); err != nil {
 		return true, err
 	}
 	return true, nil
@@ -76,29 +71,21 @@ type levelLayout struct {
 
 // BuildClassChain constructs class p's QBD (reblocked if the class has
 // batch arrivals) for the given intervisit distribution, adopting block
-// representations at the default CSR density threshold.
+// representations at matrix.DefaultAdoptMaxDensity.
 func BuildClassChain(m *Model, p int, intervisit *phase.Dist) (*ClassChain, error) {
-	return buildClassChain(m, p, intervisit, 0)
-}
-
-// buildClassChain is BuildClassChain with an explicit CSR adoption
-// threshold (SolveOptions.SparseMaxDensity; non-positive means
-// matrix.DefaultAdoptMaxDensity).
-func buildClassChain(m *Model, p int, intervisit *phase.Dist, maxDensity float64) (*ClassChain, error) {
 	if m.Classes[p].MaxBatch() == 1 {
-		proc, sp, lv, err := buildClassProcess(m, p, intervisit, maxDensity)
+		proc, sp, lv, err := buildClassProcess(m, p, intervisit)
 		if err != nil {
 			return nil, err
 		}
 		return &ClassChain{
-			Proc:            proc,
-			space:           sp,
-			layout:          levelLayout{width: 1, c: sp.servers, n: sp.dim(sp.servers)},
-			blocks:          lv,
-			adoptMaxDensity: maxDensity,
+			Proc:   proc,
+			space:  sp,
+			layout: levelLayout{width: 1, c: sp.servers, n: sp.dim(sp.servers)},
+			blocks: lv,
 		}, nil
 	}
-	return buildBatchedChain(m, p, intervisit, maxDensity)
+	return buildBatchedChain(m, p, intervisit)
 }
 
 // buildBatchedChain assembles the reblocked process: one boundary
@@ -108,7 +95,7 @@ func buildClassChain(m *Model, p int, intervisit *phase.Dist, maxDensity float64
 // from [c, c+W), and the repeating triplet from the generic group
 // [c+W, c+2W) — exploiting that the dynamics of every physical level ≥ c
 // are identical.
-func buildBatchedChain(m *Model, p int, intervisit *phase.Dist, maxDensity float64) (*ClassChain, error) {
+func buildBatchedChain(m *Model, p int, intervisit *phase.Dist) (*ClassChain, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -222,10 +209,10 @@ func buildBatchedChain(m *Model, p int, intervisit *phase.Dist, maxDensity float
 		Down:  []*matrix.Dense{nil, down1},
 		A0:    matrix.Op(a0), A1: matrix.Op(a1), A2: matrix.Op(a2),
 	}
-	if err := certifyClassProcess(proc, maxDensity); err != nil {
+	if err := certifyClassProcess(proc); err != nil {
 		return nil, fmt.Errorf("core: batched chain: %w", err)
 	}
-	return &ClassChain{Proc: proc, space: sp, layout: ly, adoptMaxDensity: maxDensity}, nil
+	return &ClassChain{Proc: proc, space: sp, layout: ly}, nil
 }
 
 // MeanJobs returns the mean physical job count E[N_p] from the solved

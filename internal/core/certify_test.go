@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/certify"
@@ -28,6 +29,37 @@ func TestSolveAttachesClassCertificates(t *testing.T) {
 		}
 		if verr := cr.Cert.Verify(); verr != nil {
 			t.Fatalf("class %d certificate does not verify: %v", p, verr)
+		}
+	}
+}
+
+// TestSpectralRadiusFromCertificate pins the reuse of the certificate's
+// spectral bound: for every stable class, ClassResult.SpectralRadiusR,
+// the certificate's bound and a fresh Solution.SpectralRadiusR() are the
+// same bits — serial, per-class parallel, and warm-started.
+func TestSpectralRadiusFromCertificate(t *testing.T) {
+	m := paperModel(0.4, [4]float64{0.5, 1, 2, 4}, 1, 0.01)
+	for _, opts := range []SolveOptions{
+		{Parallel: 1},
+		{Parallel: 2},
+		{Parallel: 2, WarmStart: true},
+	} {
+		res, err := Solve(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stable := 0
+		for p, cr := range res.Classes {
+			if !cr.Stable {
+				continue
+			}
+			stable++
+			ctx := fmt.Sprintf("parallel=%d warm=%v class %d", opts.Parallel, opts.WarmStart, p)
+			sameBits(t, ctx+" cert", cr.SpectralRadiusR, cr.Cert.SpectralRadius)
+			sameBits(t, ctx+" solution", cr.SpectralRadiusR, cr.Solution.SpectralRadiusR())
+		}
+		if stable < 2 {
+			t.Fatalf("parallel=%d: only %d stable classes; the pin needs a multi-class solve", opts.Parallel, stable)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/certify"
-	"repro/internal/matrix"
 	"repro/internal/qbd"
 )
 
@@ -51,16 +50,6 @@ type SolveOptions struct {
 	// ladder. Off by default so one-shot solves are bit-for-bit
 	// reproducible against previous releases.
 	WarmStart bool
-	// SparseMaxDensity is the CSR adoption threshold for the repeating
-	// blocks A0 and A2: a block whose non-zero fraction is at or below the
-	// threshold is represented as CSR for the solver's sparse product fast
-	// path, denser blocks stay dense. Representation choice never changes
-	// answers — every operator is pinned bitwise against the dense
-	// reference — so this is purely a throughput knob. Zero means
-	// matrix.DefaultAdoptMaxDensity; 1 forces CSR everywhere; values
-	// outside [0, 1] are rejected by Validate with a typed
-	// certify.ErrConfig failure.
-	SparseMaxDensity float64
 	// Parallel bounds the worker group that solves the L independent
 	// per-class QBDs of each fixed-point iteration concurrently. 0 means
 	// GOMAXPROCS, 1 forces the historical serial path; values above the
@@ -107,9 +96,6 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	if o.TruncationCap == 0 {
 		o.TruncationCap = 400
 	}
-	if o.SparseMaxDensity == 0 {
-		o.SparseMaxDensity = matrix.DefaultAdoptMaxDensity
-	}
 	return o
 }
 
@@ -143,8 +129,6 @@ func (o SolveOptions) Validate() error {
 		return bad("MaxFitOrder", o.MaxFitOrder)
 	case o.Parallel < 0:
 		return bad("Parallel", o.Parallel)
-	case o.SparseMaxDensity < 0 || o.SparseMaxDensity > 1 || math.IsNaN(o.SparseMaxDensity):
-		return bad("SparseMaxDensity", o.SparseMaxDensity)
 	case o.RMatrix.Tol < 0 || math.IsNaN(o.RMatrix.Tol):
 		return bad("RMatrix.Tol", o.RMatrix.Tol)
 	case o.RMatrix.MaxIter < 0:

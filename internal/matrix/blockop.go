@@ -2,9 +2,8 @@ package matrix
 
 // BlockOp is the pluggable representation of one repeating QBD generator
 // block. The solver ladder, residual certification and boundary solve are
-// written against this interface, so a block can be a plain dense matrix,
-// a CSR sparse matrix, or a Kronecker-sum structure without the numeric
-// pipeline knowing which.
+// written against this interface, so a block can be a plain dense matrix
+// or a CSR sparse matrix without the numeric pipeline knowing which.
 //
 // Every implementation is pinned bitwise against the dense reference: for
 // any operator op and any conforming dense operands, op.MulDenseTo,
@@ -17,7 +16,7 @@ package matrix
 // call sites and skipping zero entries are value-preserving.
 //
 // Implementations are not safe for concurrent first use: lazy caches
-// (CSR/Kronecker dense materialization) are unsynchronized, matching the
+// (the CSR dense materialization) are unsynchronized, matching the
 // Workspace discipline of one owner per solve.
 type BlockOp interface {
 	// Dims returns the block's row and column counts.
@@ -282,224 +281,4 @@ func (b *CSRBlock) Refill(d *Dense) bool {
 	b.origin = d
 	b.mat = nil
 	return true
-}
-
-// KronTerm is one Kronecker-product term c·(L ⊗ R) of a KronBlock.
-type KronTerm struct {
-	Coef float64
-	L, R *Dense
-}
-
-// KronBlock represents a sum of Kronecker products Σ c·(L ⊗ R) — the
-// natural form of the gang model's repeating blocks when a P-server
-// service structure composes with a deep PH arrival stage. Entry
-// (i, j) is Σ_t fl(c_t · fl(L_t[i/rr, j/rc] · R_t[i%rr, j%rc])),
-// accumulated in term order; products materialize one row at a time
-// through the shared dense row kernel, so they are bitwise the dense
-// reference without ever holding the full matrix (except for the cached
-// materialization behind Dense()/MulFromLeftTo).
-type KronBlock struct {
-	terms      []KronTerm
-	lr, lc     int // dimensions of every L factor
-	rr, rc     int // dimensions of every R factor
-	mat        *Dense
-	nnz        int
-	nnzKnown   bool
-	rowBuf     []float64
-	sums       []float64
-	sumsCached bool
-}
-
-// NewKron builds Σ c·(L ⊗ R). All L factors must share dimensions, as
-// must all R factors; at least one term is required.
-func NewKron(terms ...KronTerm) *KronBlock {
-	if len(terms) == 0 {
-		panic("matrix: NewKron needs at least one term")
-	}
-	k := &KronBlock{
-		terms: terms,
-		lr:    terms[0].L.rows, lc: terms[0].L.cols,
-		rr: terms[0].R.rows, rc: terms[0].R.cols,
-	}
-	for _, t := range terms {
-		if t.L.rows != k.lr || t.L.cols != k.lc || t.R.rows != k.rr || t.R.cols != k.rc {
-			panic("matrix: NewKron factor dimensions differ across terms")
-		}
-	}
-	return k
-}
-
-// Dims returns the block's dimensions.
-func (b *KronBlock) Dims() (int, int) { return b.lr * b.rr, b.lc * b.rc }
-
-// materializeRow writes row i of the operator into buf.
-func (b *KronBlock) materializeRow(i int, buf []float64) {
-	il, ir := i/b.rr, i%b.rr
-	for j := range buf {
-		buf[j] = 0
-	}
-	for _, t := range b.terms {
-		lrow := t.L.data[il*b.lc : (il+1)*b.lc]
-		rrow := t.R.data[ir*b.rc : (ir+1)*b.rc]
-		for jl, lv := range lrow {
-			if lv == 0 {
-				continue
-			}
-			seg := buf[jl*b.rc : (jl+1)*b.rc]
-			for jr, rv := range rrow {
-				if rv == 0 {
-					continue
-				}
-				seg[jr] += t.Coef * (lv * rv)
-			}
-		}
-	}
-}
-
-func (b *KronBlock) row(i int) []float64 {
-	if b.mat != nil {
-		return b.mat.data[i*b.mat.cols : (i+1)*b.mat.cols]
-	}
-	if b.rowBuf == nil {
-		b.rowBuf = make([]float64, b.lc*b.rc)
-	}
-	b.materializeRow(i, b.rowBuf)
-	return b.rowBuf
-}
-
-// At returns the entry at (i, j).
-func (b *KronBlock) At(i, j int) float64 {
-	if b.mat != nil {
-		return b.mat.At(i, j)
-	}
-	v := 0.0
-	il, ir := i/b.rr, i%b.rr
-	jl, jr := j/b.rc, j%b.rc
-	for _, t := range b.terms {
-		lv, rv := t.L.At(il, jl), t.R.At(ir, jr)
-		if lv == 0 || rv == 0 {
-			continue
-		}
-		v += t.Coef * (lv * rv)
-	}
-	return v
-}
-
-// NNZ counts the non-zero entries (cached after the first call).
-func (b *KronBlock) NNZ() int {
-	if !b.nnzKnown {
-		rows, _ := b.Dims()
-		n := 0
-		for i := 0; i < rows; i++ {
-			for _, v := range b.row(i) {
-				if v != 0 {
-					n++
-				}
-			}
-		}
-		b.nnz, b.nnzKnown = n, true
-	}
-	return b.nnz
-}
-
-// Density returns the non-zero fraction.
-func (b *KronBlock) Density() float64 {
-	rows, cols := b.Dims()
-	if rows*cols == 0 {
-		return 0
-	}
-	return float64(b.NNZ()) / float64(rows*cols)
-}
-
-// InfNorm returns the maximum absolute row sum of the materialized rows.
-func (b *KronBlock) InfNorm() float64 {
-	rows, _ := b.Dims()
-	max := 0.0
-	for i := 0; i < rows; i++ {
-		t := 0.0
-		for _, v := range b.row(i) {
-			if v < 0 {
-				v = -v
-			}
-			t += v
-		}
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// RowSums returns the signed row sums.
-func (b *KronBlock) RowSums() []float64 {
-	rows, _ := b.Dims()
-	sums := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		t := 0.0
-		for _, v := range b.row(i) {
-			t += v
-		}
-		sums[i] = t
-	}
-	return sums
-}
-
-// Dense returns a cached full materialization.
-func (b *KronBlock) Dense() *Dense {
-	if b.mat == nil {
-		rows, cols := b.Dims()
-		m := New(rows, cols)
-		for i := 0; i < rows; i++ {
-			b.materializeRow(i, m.data[i*cols:(i+1)*cols])
-		}
-		b.mat = m
-	}
-	return b.mat
-}
-
-// Scaled materializes c·b and re-adopts by density (Kronecker blocks are
-// typically sparse enough that the scaled operator comes back as CSR,
-// which is what the uniformized solver ladder wants).
-func (b *KronBlock) Scaled(c float64) BlockOp {
-	d := b.Dense()
-	return AdoptOp(ScaledTo(New(d.rows, d.cols), c, d), DefaultAdoptMaxDensity)
-}
-
-// MulDenseTo computes dst = b·B by streaming materialized rows through
-// the shared dense row kernel — bitwise MulTo(dst, b.Dense(), B) without
-// requiring the materialization.
-func (b *KronBlock) MulDenseTo(dst, x *Dense) *Dense {
-	rows, cols := b.Dims()
-	if cols != x.rows {
-		panic("matrix: KronBlock MulDenseTo dimension mismatch")
-	}
-	if dst.rows != rows || dst.cols != x.cols {
-		panic("matrix: KronBlock MulDenseTo bad destination")
-	}
-	dst.Zero()
-	for i := 0; i < rows; i++ {
-		mulRow(dst.data[i*dst.cols:(i+1)*dst.cols], b.row(i), x.data, x.cols)
-	}
-	return dst
-}
-
-// MulFromLeftTo computes dst = A·b against the cached materialization.
-func (b *KronBlock) MulFromLeftTo(dst, a *Dense) *Dense {
-	return MulTo(dst, a, b.Dense())
-}
-
-// AddScaledTo accumulates dst += s·b over the non-zero entries.
-func (b *KronBlock) AddScaledTo(dst *Dense, s float64) {
-	rows, cols := b.Dims()
-	if dst.rows != rows || dst.cols != cols {
-		panic("matrix: AddScaledTo dimension mismatch")
-	}
-	for i := 0; i < rows; i++ {
-		out := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j, v := range b.row(i) {
-			if v != 0 {
-				out[j] += s * v
-			}
-		}
-	}
 }

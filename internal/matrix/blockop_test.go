@@ -174,27 +174,6 @@ func TestAdoptOpChoosesByDensity(t *testing.T) {
 	}
 }
 
-func TestKronBlockPinsDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 6; trial++ {
-		p, q := 2+rng.Intn(4), 2+rng.Intn(4)
-		// The gang shape: service structure ⊗ I + I ⊗ PH-stage block.
-		ip, iq := Identity(p), Identity(q)
-		kb := NewKron(
-			KronTerm{Coef: 0.5 + rng.Float64(), L: gangA2(rng, p), R: iq},
-			KronTerm{Coef: 0.5 + rng.Float64(), L: ip, R: gangA2(rng, q)},
-			KronTerm{Coef: rng.Float64() - 0.5, L: gangA0(rng, p), R: gangA0(rng, q)},
-		)
-		ref := kb.Dense().Clone()
-		checkOpPinsDense(t, "kron", kb, ref, rng)
-
-		// A fresh, never-materialized block must stream identical rows.
-		kb2 := NewKron(kb.terms...)
-		got := kb2.MulDenseTo(New(ref.rows, ref.cols), Identity(ref.cols))
-		bitsEqual(t, "kron streaming vs materialized", got, ref)
-	}
-}
-
 func TestCSRBlockRefillInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := gangA2(rng, 10)

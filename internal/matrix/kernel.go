@@ -63,10 +63,7 @@ func mulKernel(dst, a, b *Dense) {
 }
 
 // mulRow accumulates one destination row ci += ai·B, where B is bd with
-// leading dimension bc. It is the per-row body of mulKernel, shared with
-// the structured BlockOp implementations (a Kronecker operator that
-// materializes one A row at a time produces bitwise the result of a
-// dense multiply by running the same row kernel).
+// leading dimension bc. It is the per-row body of mulKernel.
 func mulRow(ci, ai, bd []float64, bc int) {
 	ac := len(ai)
 	k := 0

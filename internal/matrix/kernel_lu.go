@@ -6,9 +6,7 @@ package matrix
 // every column lane) carries its own serial rounded-operation chain in
 // the same order at any vector width — so the amd64 SIMD variants are
 // bitwise identical to the Go loops below and need no opt-in: dispatch
-// is a static CPU check, not a knob. (GANG_PANEL_KERNEL only selects
-// the dense-panel multiply kernel, where the FMA variant genuinely
-// changes rounding; no such variant exists here.)
+// is a static CPU check, not a knob.
 
 // elimRowGo applies one elimination step of Gaussian elimination:
 // dst[j] -= m·src[j]. Element-wise, no accumulator, so vector width

@@ -27,15 +27,11 @@ func backStep8SSE2(x, row *float64, cnt int, d float64)
 //go:noescape
 func backStep8AVX2(x, row *float64, cnt int, d float64)
 
-// luAVX2 gates the 4-lane LU kernels; the 2-lane SSE2 kernels are the
-// amd64 baseline.
-var luAVX2 = hasAVX2()
-
 func elimRow(dst, src []float64, m float64) {
 	if len(dst) == 0 {
 		return
 	}
-	if luAVX2 {
+	if useAVX2 {
 		elimRowAVX2(&dst[0], &src[0], len(dst), m)
 	} else {
 		elimRowSSE2(&dst[0], &src[0], len(dst), m)
@@ -43,7 +39,7 @@ func elimRow(dst, src []float64, m float64) {
 }
 
 func fwdStep8(x []float64, row []float64) {
-	if luAVX2 {
+	if useAVX2 {
 		fwdStep8AVX2(&x[0], rowPtr(row), len(row))
 	} else {
 		fwdStep8SSE2(&x[0], rowPtr(row), len(row))
@@ -51,7 +47,7 @@ func fwdStep8(x []float64, row []float64) {
 }
 
 func backStep8(x []float64, row []float64, d float64) {
-	if luAVX2 {
+	if useAVX2 {
 		backStep8AVX2(&x[0], rowPtr(row), len(row), d)
 	} else {
 		backStep8SSE2(&x[0], rowPtr(row), len(row), d)

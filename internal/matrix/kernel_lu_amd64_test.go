@@ -51,7 +51,7 @@ func TestElimRowKernelsBitwiseIdenticalGo(t *testing.T) {
 		elimRowSSE2(&sse[0], &src[0], n, m)
 		sliceBitsEqual(t, "elimRowSSE2", sse, want)
 
-		if luAVX2 {
+		if useAVX2 {
 			avx := append([]float64(nil), base...)
 			elimRowAVX2(&avx[0], &src[0], n, m)
 			sliceBitsEqual(t, "elimRowAVX2", avx, want)
@@ -79,7 +79,7 @@ func TestSubstitutionKernelsBitwiseIdenticalGo(t *testing.T) {
 		backStep8SSE2(&backSSE[0], rowPtr(row), cnt, d)
 		sliceBitsEqual(t, "backStep8SSE2", backSSE, backWant)
 
-		if luAVX2 {
+		if useAVX2 {
 			fwdAVX := append([]float64(nil), x...)
 			fwdStep8AVX2(&fwdAVX[0], rowPtr(row), cnt)
 			sliceBitsEqual(t, "fwdStep8AVX2", fwdAVX, fwdWant)

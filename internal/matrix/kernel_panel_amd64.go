@@ -2,26 +2,18 @@
 
 package matrix
 
-import (
-	"fmt"
-	"os"
-)
-
-// The assembly panel kernels. All three share one contract:
+// The assembly panel kernels. Both share one contract:
 // ci[j] = ci[j] + a[0]·b[j] + a[1]·b[ldb+j] + … + a[7]·b[7·ldb+j] for
-// j in [0, n). SSE2 and AVX2 associate the adds left exactly like the
-// pure-Go panel — every element sees the identical rounded-operation
-// sequence, so the asm changes throughput, never bits. FMA fuses each
-// multiply-add into a single rounding and is opt-in only.
+// j in [0, n). They associate the adds left exactly like the pure-Go
+// panel — every element sees the identical rounded-operation sequence —
+// so the asm changes throughput, never bits, and selection is a
+// one-time CPU check exactly like the LU kernels.
 //
 //go:noescape
 func axpyPanel8SSE2(ci *float64, b *float64, ldb, n int, a *[8]float64)
 
 //go:noescape
 func axpyPanel8AVX2(ci *float64, b *float64, ldb, n int, a *[8]float64)
-
-//go:noescape
-func axpyPanel8FMA(ci *float64, b *float64, ldb, n int, a *[8]float64)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -47,115 +39,18 @@ func hasAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// hasFMA reports FMA3 support (CPUID.1:ECX bit 12). Only meaningful
-// alongside hasAVX2 — the fused kernel uses YMM registers.
-func hasFMA() bool {
-	_, _, ecx1, _ := cpuid(1, 0)
-	return ecx1&(1<<12) != 0
-}
+// useAVX2 gates the 4-lane panel and LU kernels; the 2-lane SSE2
+// kernels are the amd64 baseline.
+var useAVX2 = hasAVX2()
 
-type panelImpl struct {
-	name string
-	fn   func(ci, b []float64, ldb int, a *[8]float64)
-}
-
-func panelGo(ci, b []float64, ldb int, a *[8]float64) {
-	axpyPanel8Go(ci, b, ldb, a)
-}
-
-func panelSSE2(ci, b []float64, ldb int, a *[8]float64) {
-	if len(ci) == 0 {
-		return
-	}
-	axpyPanel8SSE2(&ci[0], &b[0], ldb, len(ci), a)
-}
-
-func panelAVX2(ci, b []float64, ldb int, a *[8]float64) {
-	if len(ci) == 0 {
-		return
-	}
-	axpyPanel8AVX2(&ci[0], &b[0], ldb, len(ci), a)
-}
-
-func panelFMA(ci, b []float64, ldb int, a *[8]float64) {
-	if len(ci) == 0 {
-		return
-	}
-	axpyPanel8FMA(&ci[0], &b[0], ldb, len(ci), a)
-}
-
-// panelKernels lists every kernel this CPU can run, fastest first.
-// Detection runs once at init; dispatch afterwards is one function
-// pointer load.
-var panelKernels = enumeratePanelKernels()
-
-// activePanel is the kernel axpyPanel8 calls. Default: the fastest
-// bitwise-stable kernel (AVX2 when available, else SSE2). FMA is never
-// selected automatically — it changes low-order bits — only via the
-// GANG_PANEL_KERNEL=fma opt-in or ForcePanelKernel.
-var activePanel = pickPanelKernel(os.Getenv("GANG_PANEL_KERNEL"))
-
-func enumeratePanelKernels() []panelImpl {
-	ks := []panelImpl{}
-	if hasAVX2() {
-		if hasFMA() {
-			ks = append(ks, panelImpl{"fma", panelFMA})
-		}
-		ks = append(ks, panelImpl{"avx2", panelAVX2})
-	}
-	ks = append(ks, panelImpl{"sse2", panelSSE2}, panelImpl{"go", panelGo})
-	return ks
-}
-
-func pickPanelKernel(force string) panelImpl {
-	if force != "" {
-		for _, k := range panelKernels {
-			if k.name == force {
-				return k
-			}
-		}
-		fmt.Fprintf(os.Stderr,
-			"matrix: GANG_PANEL_KERNEL=%q unsupported on this CPU (have %v); using default\n",
-			force, PanelKernels())
-	}
-	for _, k := range panelKernels {
-		if k.name != "fma" { // fused rounding is opt-in only
-			return k
-		}
-	}
-	return panelImpl{"go", panelGo} // unreachable: sse2/go are always listed
-}
-
-// PanelKernel reports the name of the active dense-panel kernel:
-// "avx2", "sse2", "go", or "fma" when explicitly opted in.
-func PanelKernel() string { return activePanel.name }
-
-// PanelKernels lists the kernels this CPU supports, fastest first.
-func PanelKernels() []string {
-	names := make([]string, len(panelKernels))
-	for i, k := range panelKernels {
-		names[i] = k.name
-	}
-	return names
-}
-
-// ForcePanelKernel switches the active kernel by name for A/B tests and
-// benchmarks. It returns a restore func and true, or nil and false if
-// the CPU lacks the kernel. Not safe to call concurrently with running
-// multiplies — flip it between measurement passes, not during them.
-func ForcePanelKernel(name string) (restore func(), ok bool) {
-	for _, k := range panelKernels {
-		if k.name == name {
-			prev := activePanel
-			activePanel = k
-			return func() { activePanel = prev }, true
-		}
-	}
-	return nil, false
-}
-
-// axpyPanel8 accumulates the 8-row coefficient panel into ci through
-// the kernel selected at startup.
+// axpyPanel8 accumulates the 8-row coefficient panel into ci.
 func axpyPanel8(ci, b []float64, ldb int, a *[8]float64) {
-	activePanel.fn(ci, b, ldb, a)
+	if len(ci) == 0 {
+		return
+	}
+	if useAVX2 {
+		axpyPanel8AVX2(&ci[0], &b[0], ldb, len(ci), a)
+	} else {
+		axpyPanel8SSE2(&ci[0], &b[0], ldb, len(ci), a)
+	}
 }

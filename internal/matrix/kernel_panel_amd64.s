@@ -367,156 +367,6 @@ avx2done:
 	VZEROUPPER
 	RET
 
-// func axpyPanel8FMA(ci *float64, b *float64, ldb, n int, a *[8]float64)
-//
-// The fused variant: each accumulation step is one VFMADD231PD, so the
-// multiply feeds the add with a single rounding. That changes low-order
-// bits relative to the mul+add kernels — this path is opt-in only
-// (GANG_PANEL_KERNEL=fma) and excluded from every bitwise pin.
-TEXT ·axpyPanel8FMA(SB), NOSPLIT, $0-40
-	MOVQ a+32(FP), AX
-	VBROADCASTSD 0(AX), Y0
-	VBROADCASTSD 8(AX), Y1
-	VBROADCASTSD 16(AX), Y2
-	VBROADCASTSD 24(AX), Y3
-	VBROADCASTSD 32(AX), Y4
-	VBROADCASTSD 40(AX), Y5
-	VBROADCASTSD 48(AX), Y6
-	VBROADCASTSD 56(AX), Y7
-
-	MOVQ ci+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ ldb+16(FP), DX
-	SHLQ $3, DX
-	LEAQ (SI)(DX*1), R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
-	LEAQ (R13)(DX*1), AX
-
-	MOVQ n+24(FP), CX
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	SHLQ $3, DX
-	CMPQ BX, DX
-	JGE  fmaquadcheck
-
-fmaocta:
-	VMOVUPD (DI)(BX*1), Y8
-	VMOVUPD 32(DI)(BX*1), Y10
-	VMOVUPD (SI)(BX*1), Y9
-	VMOVUPD 32(SI)(BX*1), Y11
-	VFMADD231PD Y0, Y9, Y8
-	VFMADD231PD Y0, Y11, Y10
-	VMOVUPD (R8)(BX*1), Y9
-	VMOVUPD 32(R8)(BX*1), Y11
-	VFMADD231PD Y1, Y9, Y8
-	VFMADD231PD Y1, Y11, Y10
-	VMOVUPD (R9)(BX*1), Y9
-	VMOVUPD 32(R9)(BX*1), Y11
-	VFMADD231PD Y2, Y9, Y8
-	VFMADD231PD Y2, Y11, Y10
-	VMOVUPD (R10)(BX*1), Y9
-	VMOVUPD 32(R10)(BX*1), Y11
-	VFMADD231PD Y3, Y9, Y8
-	VFMADD231PD Y3, Y11, Y10
-	VMOVUPD (R11)(BX*1), Y9
-	VMOVUPD 32(R11)(BX*1), Y11
-	VFMADD231PD Y4, Y9, Y8
-	VFMADD231PD Y4, Y11, Y10
-	VMOVUPD (R12)(BX*1), Y9
-	VMOVUPD 32(R12)(BX*1), Y11
-	VFMADD231PD Y5, Y9, Y8
-	VFMADD231PD Y5, Y11, Y10
-	VMOVUPD (R13)(BX*1), Y9
-	VMOVUPD 32(R13)(BX*1), Y11
-	VFMADD231PD Y6, Y9, Y8
-	VFMADD231PD Y6, Y11, Y10
-	VMOVUPD (AX)(BX*1), Y9
-	VMOVUPD 32(AX)(BX*1), Y11
-	VFMADD231PD Y7, Y9, Y8
-	VFMADD231PD Y7, Y11, Y10
-	VMOVUPD Y8, (DI)(BX*1)
-	VMOVUPD Y10, 32(DI)(BX*1)
-	ADDQ $64, BX
-	CMPQ BX, DX
-	JL   fmaocta
-
-fmaquadcheck:
-	TESTQ $4, CX
-	JZ   fmapaircheck
-	VMOVUPD (DI)(BX*1), Y8
-	VMOVUPD (SI)(BX*1), Y9
-	VFMADD231PD Y0, Y9, Y8
-	VMOVUPD (R8)(BX*1), Y9
-	VFMADD231PD Y1, Y9, Y8
-	VMOVUPD (R9)(BX*1), Y9
-	VFMADD231PD Y2, Y9, Y8
-	VMOVUPD (R10)(BX*1), Y9
-	VFMADD231PD Y3, Y9, Y8
-	VMOVUPD (R11)(BX*1), Y9
-	VFMADD231PD Y4, Y9, Y8
-	VMOVUPD (R12)(BX*1), Y9
-	VFMADD231PD Y5, Y9, Y8
-	VMOVUPD (R13)(BX*1), Y9
-	VFMADD231PD Y6, Y9, Y8
-	VMOVUPD (AX)(BX*1), Y9
-	VFMADD231PD Y7, Y9, Y8
-	VMOVUPD Y8, (DI)(BX*1)
-	ADDQ $32, BX
-
-fmapaircheck:
-	TESTQ $2, CX
-	JZ   fmascalarcheck
-	VMOVUPD (DI)(BX*1), X8
-	VMOVUPD (SI)(BX*1), X9
-	VFMADD231PD X0, X9, X8
-	VMOVUPD (R8)(BX*1), X9
-	VFMADD231PD X1, X9, X8
-	VMOVUPD (R9)(BX*1), X9
-	VFMADD231PD X2, X9, X8
-	VMOVUPD (R10)(BX*1), X9
-	VFMADD231PD X3, X9, X8
-	VMOVUPD (R11)(BX*1), X9
-	VFMADD231PD X4, X9, X8
-	VMOVUPD (R12)(BX*1), X9
-	VFMADD231PD X5, X9, X8
-	VMOVUPD (R13)(BX*1), X9
-	VFMADD231PD X6, X9, X8
-	VMOVUPD (AX)(BX*1), X9
-	VFMADD231PD X7, X9, X8
-	VMOVUPD X8, (DI)(BX*1)
-	ADDQ $16, BX
-
-fmascalarcheck:
-	TESTQ $1, CX
-	JZ   fmadone
-	VMOVSD (DI)(BX*1), X8
-	VMOVSD (SI)(BX*1), X9
-	VFMADD231SD X0, X9, X8
-	VMOVSD (R8)(BX*1), X9
-	VFMADD231SD X1, X9, X8
-	VMOVSD (R9)(BX*1), X9
-	VFMADD231SD X2, X9, X8
-	VMOVSD (R10)(BX*1), X9
-	VFMADD231SD X3, X9, X8
-	VMOVSD (R11)(BX*1), X9
-	VFMADD231SD X4, X9, X8
-	VMOVSD (R12)(BX*1), X9
-	VFMADD231SD X5, X9, X8
-	VMOVSD (R13)(BX*1), X9
-	VFMADD231SD X6, X9, X8
-	VMOVSD (AX)(BX*1), X9
-	VFMADD231SD X7, X9, X8
-	VMOVSD X8, (DI)(BX*1)
-
-fmadone:
-	VZEROUPPER
-	RET
-
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

@@ -8,19 +8,3 @@ package matrix
 func axpyPanel8(ci, b []float64, ldb int, a *[8]float64) {
 	axpyPanel8Go(ci, b, ldb, a)
 }
-
-// PanelKernel reports the active dense-panel kernel; off amd64 only the
-// portable Go panel exists.
-func PanelKernel() string { return "go" }
-
-// PanelKernels lists the kernels this CPU supports.
-func PanelKernels() []string { return []string{"go"} }
-
-// ForcePanelKernel switches the active kernel by name. Off amd64 the
-// only kernel is "go"; every other name reports unsupported.
-func ForcePanelKernel(name string) (restore func(), ok bool) {
-	if name == "go" {
-		return func() {}, true
-	}
-	return nil, false
-}

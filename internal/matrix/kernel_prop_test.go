@@ -182,6 +182,19 @@ func TestCSRProductsBitwiseEqualDense(t *testing.T) {
 	}
 }
 
+// TestMulToAllocationFree pins the dense multiply's allocation budget:
+// an all-nonzero 48×48 product sends every row through the eight-term
+// panel kernel, and none of that may touch the heap.
+func TestMulToAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := randDense(rng, 48, 48, 1.0)
+	b := randDense(rng, 48, 48, 1.0)
+	dst := New(48, 48)
+	if allocs := testing.AllocsPerRun(20, func() { MulTo(dst, a, b) }); allocs != 0 {
+		t.Fatalf("MulTo 48x48 allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestAxpyPanel8MatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 80; trial++ {
@@ -201,7 +214,7 @@ func TestAxpyPanel8MatchesGo(t *testing.T) {
 		}
 		want := append([]float64(nil), ci...)
 		axpyPanel8Go(want, b, ldb, &pa)
-		axpyPanel8(ci, b, ldb, &pa) // SSE2 on amd64, the Go loop elsewhere
+		axpyPanel8(ci, b, ldb, &pa) // the CPU's asm kernel on amd64, the Go loop elsewhere
 		for i := range ci {
 			if math.Float64bits(ci[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("n=%d ldb=%d: [%d] = %x, want %x", n, ldb, i,

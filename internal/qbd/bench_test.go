@@ -108,83 +108,6 @@ func BenchmarkRMatrixNewton(b *testing.B) {
 	}
 }
 
-// hugeBlocks builds production-scale QBD blocks of block order p·q by
-// Kronecker structure: p partition/service macro-phases, each expanded
-// by a depth-q PH service stage — the shape the gang model's repeating
-// portion takes at P ~ thousands with deep phase-type service. A0 and A2
-// are genuine KronBlock operators (λ·I_p⊗I_q and μ·S_p⊗I_q); A1 is the
-// dense phase-churn block I_p⊗T_q + C_p⊗I_q with the diagonal completed
-// so A0+A1+A2 is a conservative generator. λ < μ, so the drift condition
-// holds at every tier.
-func hugeBlocks(p, q int) (op0, op1, op2 matrix.BlockOp) {
-	const lambda, mu = 0.6, 1.0
-	n := p * q
-
-	// S_p: each macro-phase completes into two successors (row sums 1).
-	sp := matrix.New(p, p)
-	for i := 0; i < p; i++ {
-		sp.Set(i, (i*7+1)%p, 0.7)
-		sp.Set(i, (i*3+2)%p, 0.3)
-	}
-	op0 = matrix.NewKron(matrix.KronTerm{Coef: lambda, L: matrix.Identity(p), R: matrix.Identity(q)})
-	op2 = matrix.NewKron(matrix.KronTerm{Coef: mu, L: sp, R: matrix.Identity(q)})
-
-	a1 := matrix.New(n, n)
-	for i := 0; i < n; i++ {
-		ip, iq := i/q, i%q
-		a1.Set(i, ip*q+(iq+1)%q, 2.0)   // I_p ⊗ T_q: stage advance
-		a1.Set(i, ip*q+(iq+5)%q, 0.5)   // I_p ⊗ T_q: stage skip
-		a1.Set(i, ((ip+1)%p)*q+iq, 0.3) // C_p ⊗ I_q: macro-phase churn
-	}
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += op0.At(i, j) + op2.At(i, j)
-			if j != i {
-				s += a1.At(i, j)
-			}
-		}
-		a1.Set(i, i, -s)
-	}
-	return op0, matrix.Op(a1), op2
-}
-
-// BenchmarkRMatrixHuge is the production-scale tier: block orders in the
-// thousands with Kronecker-structured A0/A2 and a deep-PH dense A1, run
-// once per variant (`make bench-huge` passes -benchtime 1x). Each tier
-// solves with the default ladder (logarithmic reduction) and with the
-// Newton rung; BENCH_huge.json commits the numbers.
-func BenchmarkRMatrixHuge(b *testing.B) {
-	tiers := []struct {
-		name string
-		p, q int
-	}{
-		{"h1024", 32, 32},
-		{"h2048", 64, 32},
-	}
-	for _, tier := range tiers {
-		op0, op1, op2 := hugeBlocks(tier.p, tier.q)
-		for _, v := range []struct {
-			name   string
-			newton bool
-		}{
-			{"logreduction", false},
-			{"newton", true},
-		} {
-			b.Run(tier.name+"/"+v.name, func(b *testing.B) {
-				opts := qbd.RMatrixOptions{Workspace: matrix.NewWorkspace(), Newton: v.newton}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := qbd.RMatrixOp(op0, op1, op2, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkRMatrixPre measures the frozen pre-change kernel: a fresh
 // allocation for every Mul/Sum/Scaled/Diff and an explicit inverse per
 // reduction step, exactly as the solver shipped before the in-place

@@ -38,22 +38,22 @@ type Process struct {
 	Down  []*matrix.Dense // indexed 1..b; Down[0] is unused and may be nil
 
 	// A0, A1, A2 are the repeating blocks as pluggable operators
-	// (matrix.BlockOp): dense, CSR, or Kronecker-structured. Builders
-	// assemble them with matrix.Op and call Adopt to pick the fastest
-	// representation; all representations are pinned bitwise against the
-	// dense reference, so the choice never changes results.
+	// (matrix.BlockOp): dense or CSR. Builders assemble them with
+	// matrix.Op and call Adopt to pick the faster representation; both
+	// are pinned bitwise against the dense reference, so the choice never
+	// changes results.
 	A0, A1, A2 matrix.BlockOp
 }
 
 // Adopt re-certifies the representation of the sparse-candidate blocks
-// A0 and A2 by density (non-positive maxDensity means
-// matrix.DefaultAdoptMaxDensity). A CSR block whose sparsity pattern is
-// unchanged since the last adoption is refilled in place — the Session
-// refill path allocates nothing. A1 carries the diagonal and is never
-// sparse enough to win, so it keeps its representation. Idempotent.
-func (p *Process) Adopt(maxDensity float64) {
-	p.A0 = matrix.ReadoptOp(p.A0, maxDensity)
-	p.A2 = matrix.ReadoptOp(p.A2, maxDensity)
+// A0 and A2 by density, at matrix.DefaultAdoptMaxDensity. A CSR block
+// whose sparsity pattern is unchanged since the last adoption is
+// refilled in place — the Session refill path allocates nothing. A1
+// carries the diagonal and is never sparse enough to win, so it keeps
+// its representation. Idempotent.
+func (p *Process) Adopt() {
+	p.A0 = matrix.ReadoptOp(p.A0, matrix.DefaultAdoptMaxDensity)
+	p.A2 = matrix.ReadoptOp(p.A2, matrix.DefaultAdoptMaxDensity)
 }
 
 // Boundary returns b, the number of boundary levels.

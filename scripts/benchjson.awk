@@ -24,11 +24,9 @@
 #   - rmatrix_medium_* compare the live kernel against the vendored
 #     pre-change kernel (BenchmarkRMatrixPre) on the medium block order.
 #   - newton_vs_logreduction compares the classical logarithmic-
-#     reduction ladder against the Newton cyclic-reduction rung at
-#     matched block orders (>1.0 = Newton faster): the `large` row pairs
-#     RMatrix/large with RMatrixNewton/large from the kernel tier, and
-#     each RMatrixHuge/<tier>/{logreduction,newton} pair from the huge
-#     tier contributes a row keyed by its tier name.
+#     reduction ladder against the Newton cyclic-reduction rung on the
+#     large block order (>1.0 = Newton faster): RMatrix/large against
+#     RMatrixNewton/large from the kernel tier.
 
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
@@ -156,36 +154,12 @@ END {
     prea = top["RMatrixPre/medium", "allocs_per_op"]
     if (livea > 0 && prea > 0)
         printf ",\n  \"rmatrix_medium_alloc_ratio_vs_pre\": %.1f", prea / livea
-    # Newton rung vs the classical logarithmic reduction at matched
-    # block orders (>1.0 = the Newton rung is faster).
-    nvl = 0
+    # Newton rung vs the classical logarithmic reduction on the large
+    # block order (>1.0 = the Newton rung is faster).
     lglarge = top["RMatrix/large", "ns_per_op"]
     ntlarge = top["RMatrixNewton/large", "ns_per_op"]
-    if (lglarge > 0 && ntlarge > 0) {
-        nvlk[++nvl] = "large"
-        nvlv[nvl] = lglarge / ntlarge
-    }
-    hugeany = 0
-    for (i = 1; i <= n; i++) {
-        base = basename[order[i]]
-        if (base !~ /^RMatrixHuge\/.*\/logreduction$/) continue
-        hugeany = 1
-        tier = base
-        sub(/^RMatrixHuge\//, "", tier)
-        sub(/\/logreduction$/, "", tier)
-        nb = "RMatrixHuge/" tier "/newton"
-        if (top[base, "ns_per_op"] > 0 && top[nb, "ns_per_op"] > 0 && !(tier in nvlseen)) {
-            nvlseen[tier] = 1
-            nvlk[++nvl] = tier
-            nvlv[nvl] = top[base, "ns_per_op"] / top[nb, "ns_per_op"]
-        }
-    }
-    if (nvl > 0) {
-        printf ",\n  \"newton_vs_logreduction\": {"
-        for (s = 1; s <= nvl; s++)
-            printf "%s\"%s\": %.2f", (s > 1 ? ", " : ""), nvlk[s], nvlv[s]
-        printf "}"
-    }
+    if (lglarge > 0 && ntlarge > 0)
+        printf ",\n  \"newton_vs_logreduction\": {\"large\": %.2f}", lglarge / ntlarge
     cold = top["PipelineCold", "ns_per_op"]
     warmp = top["PipelineWarm", "ns_per_op"]
     if (cold > 0 && warmp > 0)
@@ -207,21 +181,16 @@ END {
         printf ",\n  \"avx2_speedup_vs_sse2_n48\": %.2f", sse2 / avx2
     sse2 = top["PanelKernel/n120/sse2", "ns_per_op"]
     avx2 = top["PanelKernel/n120/avx2", "ns_per_op"]
-    fma = top["PanelKernel/n120/fma", "ns_per_op"]
     if (sse2 > 0 && avx2 > 0)
         printf ",\n  \"avx2_speedup_vs_sse2_n120\": %.2f", sse2 / avx2
-    if (avx2 > 0 && fma > 0)
-        printf ",\n  \"fma_speedup_vs_avx2_n120\": %.2f", avx2 / fma
     if (nscale > 0) {
         if (cpus > 1)
-            printf ",\n  \"note\": \"multi-core scaling matrix at GOMAXPROCS 1/2/4/8 (scaling_vs_1cpu: time@1cpu over time@Ncpu) plus the panel-kernel A/B; the fma row is the opt-in fused kernel, excluded from bitwise pins\""
+            printf ",\n  \"note\": \"multi-core scaling matrix at GOMAXPROCS 1/2/4/8 (scaling_vs_1cpu: time@1cpu over time@Ncpu) plus the panel-kernel A/B (avx2 vs sse2 vs go, bitwise-identical kernels)\""
         else
-            printf ",\n  \"note\": \"recorded on a 1-CPU machine: the GOMAXPROCS rows are honest negatives (flat, ~1.0 scaling — one core cannot scale) kept so a multi-core recorder shows real gains against the same format; the panel-kernel A/B (avx2 vs sse2 vs go) measures real SIMD speedups even on one core; fma is the opt-in fused kernel, excluded from bitwise pins\""
+            printf ",\n  \"note\": \"recorded on a 1-CPU machine: the GOMAXPROCS rows are honest negatives (flat, ~1.0 scaling — one core cannot scale) kept so a multi-core recorder shows real gains against the same format; the panel-kernel A/B (avx2 vs sse2 vs go) measures real SIMD speedups even on one core\""
     }
     else if (serial > 0)
         printf ",\n  \"note\": \"64-trial analytic grid; parallel speedup (emitted only on multi-core runs) tracks the recording machine's core count, warm-cache speedup is the content-addressed cache fast path with zero solver calls\""
-    else if (hugeany)
-        printf ",\n  \"note\": \"production-scale tier: repeating blocks of order ~1000-2000 built from structured operators (Kronecker arrivals/completions over a dense phase-churn A1), each solved by the classical logarithmic reduction and by the Newton cyclic-reduction rung; one iteration per variant, newton_vs_logreduction is the per-tier wall-time ratio (>1.0 = Newton faster)\""
     else if (live > 0)
         printf ",\n  \"note\": \"kernel baselines: RMatrix* solve the logarithmic-reduction R on small/medium/large block orders (Pre = vendored pre-change allocating kernel; RMatrixNewton/large re-solves the large tier with the Newton cyclic-reduction rung, compared in newton_vs_logreduction), ConvolveAll builds the Theorem 4.1 intervisit chain, SolveFixedPoint runs the Theorem 4.3 fixed point end to end\""
     else if (cold > 0)
