@@ -68,7 +68,9 @@ chaos-short:
 # blocks must never produce a certified-but-invalid R (once through the
 # classical ladder, once with the Newton rung forced on — a failed
 # Newton attempt must fall through to the classical rungs, never leak
-# NaN), 30 seconds of random request bodies must never crash the
+# NaN), 30 seconds of small random matrices must never get a spectral
+# bracket whose upper end sits below the true spectral radius (or below 1
+# when sp ≥ 1), 30 seconds of random request bodies must never crash the
 # daemon's decoder or produce an untyped rejection (every decode error
 # must map to a 400), and 30 seconds of arbitrary cache.jsonl bytes must
 # never break recovery-on-open (no panic, no open error, and the
@@ -76,6 +78,7 @@ chaos-short:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRMatrixCertify -fuzztime 30s ./internal/certify/
 	$(GO) test -run '^$$' -fuzz FuzzRMatrixNewton -fuzztime 30s ./internal/certify/
+	$(GO) test -run '^$$' -fuzz FuzzSpectralBracket -fuzztime 30s ./internal/matrix/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSolveRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzCacheRecovery -fuzztime 30s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioCorpus -fuzztime 30s ./internal/xcheck/

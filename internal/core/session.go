@@ -249,7 +249,8 @@ func (s *Session) solveClass(m *Model, p int, f *phase.Dist, opts SolveOptions, 
 	cr.Solution = sol
 	cr.Cert = sol.Cert
 	// The certificate's bound is Solution.SpectralRadiusR's arithmetic
-	// on the same R, so reusing it saves 40 dense squarings per class.
+	// on the same R (the spectral bracket's upper end), so reusing it
+	// saves a second bracket, a few dense squarings, per class.
 	cr.SpectralRadiusR = sol.Cert.SpectralRadius
 	cr.N, err = ch.MeanJobs(sol)
 	if err != nil {

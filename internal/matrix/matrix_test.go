@@ -388,12 +388,10 @@ func TestSpectralRadiusUpperBound(t *testing.T) {
 	}
 }
 
+// TestSpectralRadiusUpperBoundWithin covers the bracket's limit exit,
+// which stops once the upper end sits below limit.
 func TestSpectralRadiusUpperBoundWithin(t *testing.T) {
 	ws := NewWorkspace()
-	// With an unreachable limit the adaptive refinement must run the full
-	// squaring chain and reproduce the fixed-count bound exactly: the
-	// k == maxSquarings partial is the same expression the fixed loop
-	// finishes with.
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(6)
@@ -403,30 +401,34 @@ func TestSpectralRadiusUpperBoundWithin(t *testing.T) {
 				a.Set(i, j, rng.Float64())
 			}
 		}
-		full := SpectralRadiusUpperBound(a, 40)
-		adaptive := SpectralRadiusUpperBoundWithinWS(a, 0, 40, ws)
-		if math.Float64bits(full) != math.Float64bits(adaptive) {
-			t.Fatalf("limit-0 adaptive bound %g != fixed bound %g", adaptive, full)
-		}
 		// Every early exit is still a rigorous upper bound.
 		est, _ := SpectralRadius(a, 1e-10, 50000)
-		if b := SpectralRadiusUpperBoundWithinWS(a, 1, 40, ws); b >= 1 && b < est-1e-6 {
-			t.Fatalf("adaptive bound %g below estimate %g", b, est)
+		_, quick := SpectralBracketWS(a.Clone(), 1, ws)
+		if quick < est-1e-6 {
+			t.Fatalf("limit-exit bound %g below estimate %g", quick, est)
+		}
+		// A limit at or below sp(a) can never be met, so the exit must not
+		// fire: the result is the tight bound, bit for bit.
+		_, tight := SpectralBracketWS(a, 0, ws)
+		_, unmet := SpectralBracketWS(a, est*(1-1e-6), ws)
+		if math.Float64bits(tight) != math.Float64bits(unmet) {
+			t.Fatalf("unreachable limit gave %g, tight bound %g", unmet, tight)
 		}
 	}
-	// A comfortably stable matrix exits on the free k = 0 bound: ‖a‖∞.
+	// A comfortably stable matrix exits on the first power step from
+	// x = 1, whose upper end is the free k = 0 bound ‖a‖∞ (padded for
+	// rounding), without a single squaring.
 	d := Diag([]float64{0.3, 0.2, 0.25})
-	if b := SpectralRadiusUpperBoundWithinWS(d, 1, 40, ws); b != 0.3 {
-		t.Fatalf("early-exit bound = %g, want the ∞-norm 0.3", b)
+	if _, b, sq, _ := spectralBracket(d, 1, ws); sq != 0 || b < 0.3 || !within(b, 0.3, 1e-14) {
+		t.Fatalf("early-exit bound = %.17g after %d squarings, want the ∞-norm 0.3 after 0", b, sq)
 	}
 	// A stable matrix whose ∞-norm overshoots the limit refines until the
 	// bound drops below it, and the result still dominates sp(a) = 0.9.
 	c := NewFromRows([][]float64{{0, 1.8}, {0.45, 0}})
-	b := SpectralRadiusUpperBoundWithinWS(c, 1, 40, ws)
-	if b >= 1 || b < 0.9 {
+	if _, b := SpectralBracketWS(c, 1, ws); b >= 1 || b < 0.9 {
 		t.Fatalf("refined bound = %g, want in [0.9, 1)", b)
 	}
-	if b := SpectralRadiusUpperBoundWithinWS(New(0, 0), 1, 10, ws); b != 0 {
+	if _, b := SpectralBracketWS(New(0, 0), 1, ws); b != 0 {
 		t.Fatalf("empty bound = %g", b)
 	}
 }

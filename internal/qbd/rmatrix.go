@@ -224,12 +224,13 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 	// ladder descends. A rung interrupted by the caller's deadline sets
 	// canceled: the ladder aborts instead of descending — every further
 	// rung would restart work the caller has already given up on.
-	// quickSpectral selects the adaptive Gelfand bound that stops as soon
-	// as sp(R) < 1 is witnessed — still rigorous, but loose; it is only
+	// spLimit is the spectral bracket's early exit: 0 asks for the tight
+	// bound every recorded certificate carries; 1 stops as soon as
+	// sp(R) < 1 is witnessed — still rigorous, but loose, so it is only
 	// ever set on the raw entry points, where the certificate is an
 	// internal acceptance gate and its SpectralRadius value is never
 	// surfaced to a caller.
-	tryWith := func(name string, tol *certify.Tolerances, quickSpectral bool, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
+	tryWith := func(name string, tol *certify.Tolerances, spLimit float64, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
 		r, it, err := run()
 		iters += it
 		if err != nil {
@@ -252,7 +253,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 			rungs = append(rungs, fmt.Errorf("%s: %w", name, ferr))
 			return nil, nil
 		}
-		c := certifyRWSBound(r, a0, a1, a2, *tol, ws, quickSpectral)
+		c := certifyRWS(r, a0, a1, a2, *tol, ws, spLimit)
 		if verr := c.VerifyR(); verr != nil {
 			path = append(path, name+": uncertified")
 			rungs = append(rungs, fmt.Errorf("%s: %w", name, verr))
@@ -262,7 +263,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		return r, c
 	}
 	try := func(name string, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
-		return tryWith(name, certTol, false, run)
+		return tryWith(name, certTol, 0, run)
 	}
 
 	var (
@@ -297,10 +298,14 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		}
 		// On the raw entry points (certTol == nil) the certificate is an
 		// internal gate whose SpectralRadius is never returned, so the
-		// stability check uses the adaptive Gelfand bound — for a
-		// comfortably stable R that is one ∞-norm instead of 40 dense
-		// squarings, which would otherwise cost as much as the rung itself.
-		r, cert = tryWith(rungNewton, ntol, certTol == nil, func() (*matrix.Dense, int, error) {
+		// spectral bracket stops at the first upper end below 1 — for a
+		// comfortably stable R that is the first power step, ‖R‖∞ on the
+		// kept rows, and no squaring at all.
+		spLimit := 0.0
+		if certTol == nil {
+			spLimit = 1
+		}
+		r, cert = tryWith(rungNewton, ntol, spLimit, func() (*matrix.Dense, int, error) {
 			return newtonCyclicReductionR(id, b0, d1, b2, ws, opts)
 		})
 	}
@@ -396,19 +401,15 @@ func classifyRungErr(err error) error {
 
 // certifyRWS builds the R-level certificate: finiteness, the relative
 // fixed-point residual ‖A₀ + R·A₁ + R²·A₂‖∞ / (‖A₀‖∞+‖A₁‖∞+‖A₂‖∞), and
-// the Gelfand bound on sp(R). All scratch comes from ws; the arithmetic
-// matches ResidualR term for term.
-func certifyRWS(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace) *certify.Certificate {
-	return certifyRWSBound(r, a0, a1, a2, tol, ws, false)
-}
-
-// certifyRWSBound is certifyRWS with a choice of spectral bound. With
-// quickSpectral the SpectralRadius field is the adaptive Gelfand bound —
-// refined only far enough to witness sp(R) < 1, usually the free ‖R‖∞ —
-// instead of the tight fixed-40-squaring value. Both are rigorous upper
-// bounds, so VerifyR's stability verdict is sound either way; the quick
-// variant is reserved for certificates that never leave the ladder.
-func certifyRWSBound(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace, quickSpectral bool) *certify.Certificate {
+// the upper end of the Collatz–Wielandt spectral bracket on sp(R)
+// (matrix.SpectralBracketWS, Gelfand-40 as its fallback) with its early
+// exit at spLimit: 0 records the tight bound, 1 stops at the first upper
+// end below 1 (usually ‖R‖∞ on the kept rows). Both are rigorous upper
+// bounds, so VerifyR's stability verdict is sound either way; the loose
+// variant is reserved for certificates that never leave the ladder. All
+// scratch comes from ws; the residual arithmetic matches ResidualR term
+// for term.
+func certifyRWS(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace, spLimit float64) *certify.Certificate {
 	c := &certify.Certificate{Tol: tol, Finite: r.Finite()}
 	if !c.Finite {
 		c.Residual = math.Inf(1)
@@ -427,11 +428,7 @@ func certifyRWSBound(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tol
 	matrix.AddTo(t1, t1, t3) // (a0 + r·a1) + r²·a2
 	c.Residual = t1.InfNorm() / scale
 	ws.Put(t1, t2, t3)
-	if quickSpectral {
-		c.SpectralRadius = matrix.SpectralRadiusUpperBoundWithinWS(r, 1, 40, ws)
-	} else {
-		c.SpectralRadius = matrix.SpectralRadiusUpperBoundWS(r, 40, ws)
-	}
+	_, c.SpectralRadius = matrix.SpectralBracketWS(r, spLimit, ws)
 	return c
 }
 
@@ -442,7 +439,7 @@ func CertifyR(r, a0, a1, a2 *matrix.Dense, tol certify.Tolerances) *certify.Cert
 	if tol == (certify.Tolerances{}) {
 		tol = certify.DefaultTolerances()
 	}
-	return certifyRWS(r, matrix.Op(a0), matrix.Op(a1), matrix.Op(a2), tol, matrix.NewWorkspace())
+	return certifyRWS(r, matrix.Op(a0), matrix.Op(a1), matrix.Op(a2), tol, matrix.NewWorkspace(), 0)
 }
 
 // uniformizeOps maps CTMC blocks to DTMC blocks Dk with

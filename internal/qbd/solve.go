@@ -54,9 +54,10 @@ func Solve(p *Process, opts RMatrixOptions) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Gelfand bound: rigorous, and immune to the eigenvalue clustering
-	// that can stall power iteration. The ladder already computed it into
-	// the certificate (same call, same bits).
+	// The certificate holds the upper end of the Collatz–Wielandt bracket
+	// on sp(R) — rigorous, with the Gelfand-40 partial as its fallback
+	// where the bracket cannot close (Solution.SpectralRadiusR makes the
+	// same call, so the bits match).
 	if cert.SpectralRadius >= 1 {
 		return nil, ErrUnstable
 	}
@@ -367,7 +368,9 @@ func (s *Solution) PhaseMarginalRepeating() []float64 {
 }
 
 // SpectralRadiusR returns (a tight upper bound on) sp(R), the geometric
-// decay rate of the queue-length tail.
+// decay rate of the queue-length tail: the upper end of the spectral
+// bracket, the same call that filled Cert.SpectralRadius.
 func (s *Solution) SpectralRadiusR() float64 {
-	return matrix.SpectralRadiusUpperBound(s.R, 40)
+	_, hi := matrix.SpectralBracketWS(s.R, 0, matrix.NewWorkspace())
+	return hi
 }
